@@ -29,11 +29,15 @@ race:
 stress:
 	$(GO) test -race -timeout 120s -run 'Fault|Quarantine|Panic|Timeout|Cancel|Veto' ./internal/core/ ./internal/autotuner/ ./cmd/nitro-tune/
 
-# Native-fuzzer smoke: a short bounded run of the model-deserializer fuzz
-# target (arbitrary bytes must never panic and must round-trip to a fixed
-# point). The accumulated corpus keeps regressions reproducible.
+# Native-fuzzer smoke: short bounded runs of the two decoders that read
+# bytes from disk or the network — the binary model artifact decoder
+# (arbitrary bytes must never panic and must round-trip to a fixed point)
+# and the journal WAL frame scanner (never panics; the reported good prefix
+# rescans clean and accepts appends). The accumulated corpus keeps
+# regressions reproducible.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzUnmarshalModel -fuzztime 10s ./internal/ml/
+	$(GO) test -run xxx -fuzz FuzzScanJournal -fuzztime 10s ./internal/server/
 
 # Full benchmark sweep (figures + ablations + ML kernels + the
 # deployment-runtime parallel-call benches in internal/core).

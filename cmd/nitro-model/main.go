@@ -6,11 +6,11 @@
 //
 // Usage:
 //
-//	nitro-model -model spmv.model.json
-//	nitro-model -model spmv.model.json -json
-//	nitro-model -model spmv.model.json -predict "12.5,3.1,88,1.2,1.0"
-//	nitro-model -model spmv.model.json -predict-file vectors.txt -parallelism 0
-//	nitro-model -model spmv.model.json -explain "12.5,3.1,88,1.2,1.0"
+//	nitro-model -model spmv.model
+//	nitro-model -model spmv.model -json
+//	nitro-model -model spmv.model -predict "12.5,3.1,88,1.2,1.0"
+//	nitro-model -model spmv.model -predict-file vectors.txt -parallelism 0
+//	nitro-model -model spmv.model -explain "12.5,3.1,88,1.2,1.0"
 //
 // -predict-file reads one comma-separated feature vector per line (blank
 // lines and '#' comments skipped) and classifies the batch, fanning the
@@ -69,7 +69,7 @@ func (o options) validate() error {
 
 func main() {
 	var opts options
-	flag.StringVar(&opts.Model, "model", "", "path to a model JSON file (required)")
+	flag.StringVar(&opts.Model, "model", "", "path to a model artifact file (required)")
 	flag.StringVar(&opts.Predict, "predict", "", "comma-separated feature vector to classify")
 	flag.StringVar(&opts.PredictFile, "predict-file", "", "file with one comma-separated feature vector per line to classify as a batch")
 	flag.StringVar(&opts.Explain, "explain", "", "comma-separated feature vector to explain: scaled features, class scores, pairwise SVM decisions and the ranked fallback order")
@@ -77,7 +77,7 @@ func main() {
 	flag.BoolVar(&opts.JSON, "json", false, "print a machine-readable model summary (classifier, classes, feature count, provenance metadata) instead of the textual inspection")
 	flag.Parse()
 	if opts.Model == "" {
-		fmt.Fprintln(os.Stderr, "usage: nitro-model -model file.json [-predict \"1,2,3\"] [-predict-file vectors.txt]")
+		fmt.Fprintln(os.Stderr, "usage: nitro-model -model file.model [-predict \"1,2,3\"] [-predict-file vectors.txt]")
 		os.Exit(2)
 	}
 	if err := run(opts, os.Stdout); err != nil {
@@ -180,7 +180,7 @@ func inspect(data []byte, predict string, out io.Writer) error {
 // label set, feature dimension, SVM size when applicable, and the provenance
 // metadata (version / created_at / trained_on) stamped by the tuner — the
 // fields a deployment dashboard needs to tell a hot-swapped v2 retrain from
-// the offline v1 artifact. Legacy artifacts without metadata report
+// the offline v1 artifact. Unstamped artifacts (no meta section) report
 // "meta": null.
 func inspectJSON(data []byte, out io.Writer) error {
 	model, err := ml.UnmarshalModel(data)

@@ -122,6 +122,9 @@ func TestInspectErrors(t *testing.T) {
 	if err := inspect([]byte("junk"), "", &bytes.Buffer{}); err == nil {
 		t.Error("junk model accepted")
 	}
+	if err := inspect([]byte(`{"kind": "svm"}`), "", &bytes.Buffer{}); !errors.Is(err, ml.ErrLegacyJSONModel) {
+		t.Errorf("legacy JSON model file: error %v, want ml.ErrLegacyJSONModel", err)
+	}
 	if err := inspect(fixtureModel(t), "1,x", &bytes.Buffer{}); err == nil {
 		t.Error("bad feature token accepted")
 	}
@@ -136,10 +139,10 @@ func TestOptionsValidateTable(t *testing.T) {
 		opts options
 		ok   bool
 	}{
-		{"valid", options{Model: "m.json"}, true},
-		{"valid with parallelism", options{Model: "m.json", Parallelism: 4}, true},
+		{"valid", options{Model: "m.model"}, true},
+		{"valid with parallelism", options{Model: "m.model", Parallelism: 4}, true},
 		{"missing model", options{}, false},
-		{"negative parallelism", options{Model: "m.json", Parallelism: -1}, false},
+		{"negative parallelism", options{Model: "m.model", Parallelism: -1}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,7 +164,7 @@ func TestOptionsValidateTable(t *testing.T) {
 
 func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	modelPath := filepath.Join(dir, "m.json")
+	modelPath := filepath.Join(dir, "m.model")
 	if err := os.WriteFile(modelPath, fixtureModel(t), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -183,14 +186,14 @@ func TestRunEndToEnd(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	dir := t.TempDir()
-	modelPath := filepath.Join(dir, "m.json")
+	modelPath := filepath.Join(dir, "m.model")
 	if err := os.WriteFile(modelPath, fixtureModel(t), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(options{Model: modelPath, Parallelism: -2}, &bytes.Buffer{}); !errors.Is(err, errBadFlags) {
 		t.Errorf("negative parallelism: err = %v", err)
 	}
-	if err := run(options{Model: filepath.Join(dir, "missing.json")}, &bytes.Buffer{}); err == nil {
+	if err := run(options{Model: filepath.Join(dir, "missing.model")}, &bytes.Buffer{}); err == nil {
 		t.Error("missing model file accepted")
 	}
 	if err := run(options{Model: modelPath, PredictFile: filepath.Join(dir, "missing.txt")}, &bytes.Buffer{}); err == nil {
@@ -240,8 +243,9 @@ func TestInspectJSON(t *testing.T) {
 	}
 }
 
-// TestInspectJSONLegacyModel: artifacts written before metadata stamping
-// report version 0 and a null meta instead of failing.
+// TestInspectJSONLegacyModel: unstamped artifacts (no meta section, as
+// written before metadata stamping) report version 0 and a null meta
+// instead of failing.
 func TestInspectJSONLegacyModel(t *testing.T) {
 	var buf bytes.Buffer
 	if err := inspectJSON(fixtureModel(t), &buf); err != nil {
@@ -373,7 +377,7 @@ func TestExplainMatchesCallUnderFaults(t *testing.T) {
 
 // TestRunJSONMode drives -json through run, including the exclusivity check.
 func TestRunJSONMode(t *testing.T) {
-	modelPath := filepath.Join(t.TempDir(), "m.json")
+	modelPath := filepath.Join(t.TempDir(), "m.model")
 	if err := os.WriteFile(modelPath, stampedModel(t), 0o644); err != nil {
 		t.Fatal(err)
 	}

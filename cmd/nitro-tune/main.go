@@ -21,7 +21,7 @@
 //	  "incremental": {"iterations": 25},
 //	  "scale": 0.5,
 //	  "seed": 42,
-//	  "model_out": "spmv.model.json",
+//	  "model_out": "spmv.model",
 //	  "evaluate": true
 //	}
 package main

@@ -30,7 +30,7 @@ func smallSpec() Spec {
 
 func TestRunSpecBenchmarkMode(t *testing.T) {
 	spec := smallSpec()
-	spec.ModelOut = filepath.Join(t.TempDir(), "sort.model.json")
+	spec.ModelOut = filepath.Join(t.TempDir(), "sort.model")
 	var buf bytes.Buffer
 	if err := runSpec(spec, &buf); err != nil {
 		t.Fatal(err)
@@ -443,7 +443,7 @@ func TestRunSpecInjectFaultsUnknownVariant(t *testing.T) {
 func TestRunSpecDistill(t *testing.T) {
 	spec := smallSpec()
 	spec.Distill = true
-	spec.ModelOut = filepath.Join(t.TempDir(), "sort.model.json")
+	spec.ModelOut = filepath.Join(t.TempDir(), "sort.model")
 	var buf bytes.Buffer
 	if err := runSpec(spec, &buf); err != nil {
 		t.Fatal(err)

@@ -109,7 +109,7 @@ func main() {
 	fmt.Printf("trained SpMV model: labels %v, accuracy %.0f%%\n", rep.LabelCounts, 100*rep.TrainAccuracy)
 
 	// Persist and reload the model — the deployment artifact.
-	path := filepath.Join(os.TempDir(), "spmv.model.json")
+	path := filepath.Join(os.TempDir(), "spmv.model")
 	if err := lib.cx.SaveModel("spmv", path); err != nil {
 		panic(err)
 	}

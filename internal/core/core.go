@@ -403,9 +403,9 @@ func (cx *Context) Model(fn string) (*ml.Model, bool) {
 	return m, m != nil
 }
 
-// SaveModel persists the named function's model to a JSON file (the
-// deployment artifact that replaces the paper's generated header + libSVM
-// model pair).
+// SaveModel persists the named function's model to a binary model artifact
+// file (the deployment artifact that replaces the paper's generated header +
+// libSVM model pair).
 func (cx *Context) SaveModel(fn, path string) error {
 	m, ok := cx.Model(fn)
 	if !ok {
@@ -418,7 +418,7 @@ func (cx *Context) SaveModel(fn, path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// LoadModel reads a model from a JSON file and installs it for fn. Like
+// LoadModel reads a model artifact file and installs it for fn. Like
 // SetModel it is safe to call while fn is serving traffic.
 func (cx *Context) LoadModel(fn, path string) error {
 	data, err := os.ReadFile(path)

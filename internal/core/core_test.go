@@ -309,7 +309,7 @@ func TestErrorsAndAccessors(t *testing.T) {
 func TestModelSaveLoadRoundTrip(t *testing.T) {
 	cv := newCV(t, DefaultPolicy("toy"))
 	trainToy(t, cv)
-	path := filepath.Join(t.TempDir(), "toy.model.json")
+	path := filepath.Join(t.TempDir(), "toy.model")
 	if err := cv.Context().SaveModel("toy", path); err != nil {
 		t.Fatal(err)
 	}

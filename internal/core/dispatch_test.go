@@ -7,6 +7,7 @@ package core
 // gatekeeper for the memo cache's lock-free publication protocol.
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -226,15 +227,27 @@ func TestMemoSwapStressNoStaleDispatch(t *testing.T) {
 	// models[0] at phase 0... swap j installs models[j%2]).
 	var phase atomic.Uint64
 	var stale atomic.Int64
+	// calls counts completed stable-phase calls. The swapper waits for it
+	// to advance by callsPerSwap before each swap, so the callers always get
+	// to run against every installed model — however the scheduler orders
+	// the goroutines — instead of the swaps racing ahead of them.
+	var calls atomic.Int64
+	var aborted atomic.Bool
 	done := make(chan struct{})
 
-	const swaps = 400
+	const swaps, callsPerSwap = 400, 8
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer close(done)
 		for j := 1; j <= swaps; j++ {
+			for target := int64(j) * callsPerSwap; calls.Load() < target; {
+				if aborted.Load() {
+					return
+				}
+				runtime.Gosched()
+			}
 			phase.Add(1) // odd: swap in flight
 			if err := cx.SetModel("stress", models[j%2]); err != nil {
 				t.Error(err)
@@ -263,8 +276,10 @@ func TestMemoSwapStressNoStaleDispatch(t *testing.T) {
 				_, name, err := cv.Call(in)
 				if err != nil {
 					t.Error(err)
+					aborted.Store(true)
 					return
 				}
+				calls.Add(1)
 				if p2 := phase.Load(); p2 == p1 {
 					want := "v0"
 					if (p1/2)%2 == 1 {

@@ -598,7 +598,7 @@ func TestLoadModelRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/model.json"
+	path := t.TempDir() + "/model.model"
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

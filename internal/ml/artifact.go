@@ -20,9 +20,8 @@ func ETagOf(data []byte) string {
 }
 
 // EncodeArtifact serializes m with MarshalModel and returns the bytes with
-// their ETag. The encoding is deterministic for a given model (JSON with
-// sorted struct fields), so re-encoding an unchanged model reproduces the
-// same ETag.
+// their ETag. The binary encoding is deterministic for a given model, so
+// re-encoding an unchanged model reproduces the same ETag.
 func EncodeArtifact(m *Model) ([]byte, string, error) {
 	data, err := MarshalModel(m)
 	if err != nil {

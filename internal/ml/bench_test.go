@@ -148,6 +148,9 @@ func BenchmarkBvSBPoolQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkModelSerialize times the model artifact codec on a fixed seeded
+// SVM: encode (MarshalModel) and decode (UnmarshalModel, validation
+// included) separately, each reporting the artifact size.
 func BenchmarkModelSerialize(b *testing.B) {
 	ds := blobs(150, 4, 5, 0.8, 7)
 	m := NewSVM(RBFKernel{Gamma: 0.2}, 4)
@@ -159,17 +162,28 @@ func BenchmarkModelSerialize(b *testing.B) {
 		b.Fatal(err)
 	}
 	model := &Model{Classifier: m, Scaler: &s}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err := MarshalModel(model)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := UnmarshalModel(data); err != nil {
-			b.Fatal(err)
-		}
+	data, err := MarshalModel(model)
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := MarshalModel(model); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(data)), "bytes")
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := UnmarshalModel(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(data)), "bytes")
+	})
 }
 
 func BenchmarkKNNPredict(b *testing.B) {

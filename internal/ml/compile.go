@@ -47,11 +47,11 @@ func (t Tier) String() string {
 // (strictly greater than the node's own index), so a validated program cannot
 // loop — every walk terminates in at most len(Nodes) steps.
 type CompiledNode struct {
-	Feature   int32   `json:"f"`
-	Left      int32   `json:"l"`
-	Right     int32   `json:"r"`
-	Class     int32   `json:"c"`
-	Threshold float64 `json:"t"`
+	Feature   int32
+	Left      int32
+	Right     int32
+	Class     int32
+	Threshold float64
 }
 
 // Compiled is the distilled fast-dispatch artifact: a flattened
@@ -63,24 +63,24 @@ type CompiledNode struct {
 // exact path, so served agreement on that corpus is 100%.
 type Compiled struct {
 	// Nodes is the decision program; Nodes[0] is the root.
-	Nodes []CompiledNode `json:"nodes"`
+	Nodes []CompiledNode
 	// Classes are the labels leaf Class indices resolve to.
-	Classes []int `json:"classes"`
+	Classes []int
 	// Dim is the scaled feature dimensionality the program expects.
-	Dim int `json:"dim"`
+	Dim int
 	// Margin is the calibrated boundary-clearance threshold (scaled space).
-	Margin float64 `json:"margin"`
+	Margin float64
 	// Agreement is the raw tree-vs-exact agreement over the distillation
 	// corpus, before margin routing (the >= MinAgreement install gate).
-	Agreement float64 `json:"agreement"`
+	Agreement float64
 	// FallbackRate is the corpus fraction whose walk margin fell below
 	// Margin and would be routed to the exact model.
-	FallbackRate float64 `json:"fallback_rate"`
+	FallbackRate float64
 	// CorpusSize is the number of corpus vectors the artifact was distilled
 	// and calibrated on.
-	CorpusSize int `json:"corpus_size"`
+	CorpusSize int
 	// Grid is the optional precomputed decision grid (nil when disabled).
-	Grid *DecisionGrid `json:"grid,omitempty"`
+	Grid *DecisionGrid
 }
 
 // DecisionGrid is an optional precomputed lookup over a bounded box of the
@@ -89,13 +89,13 @@ type Compiled struct {
 // the cell could land near a boundary (those take the tree walk instead).
 type DecisionGrid struct {
 	// Res is the number of cells per dimension.
-	Res int `json:"res"`
+	Res int
 	// Lo / Hi are the box corners, one per dimension.
-	Lo []float64 `json:"lo"`
-	Hi []float64 `json:"hi"`
+	Lo []float64
+	Hi []float64
 	// Cells is the row-major cell table, len Res^dim; values index
 	// Compiled.Classes, -1 marks walk-required cells.
-	Cells []int8 `json:"cells"`
+	Cells []int8
 }
 
 // DistillOptions configures Distill. The zero value is usable: depth-8 CART,

@@ -2,7 +2,6 @@ package ml
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -115,16 +114,9 @@ func TestEnsembleSerializationGuards(t *testing.T) {
 	if _, err := MarshalModel(&Model{Classifier: NewEnsemble(NewEnsemble())}); err == nil {
 		t.Fatal("nested ensemble must not serialize")
 	}
-	for name, blob := range map[string]string{
-		"missing body":    `{"kind":"ensemble"}`,
-		"no members":      `{"kind":"ensemble","ensemble":{"classes":[0,1],"members":[]}}`,
-		"corrupt member":  `{"kind":"ensemble","ensemble":{"classes":[0,1],"members":[{"kind":"svm"}]}}`,
-		"unknown member":  `{"kind":"ensemble","ensemble":{"classes":[0,1],"members":[{"kind":"wat"}]}}`,
-		"nested member":   `{"kind":"ensemble","ensemble":{"classes":[0,1],"members":[{"kind":"ensemble","ensemble":{"members":[{"kind":"knn","knn":{"k":1}}]}}]}}`,
-		"weight mismatch": `{"kind":"ensemble","ensemble":{"classes":[0,1],"weights":[0.5],"members":[{"kind":"knn","knn":{"k":1}},{"kind":"knn","knn":{"k":1}}]}}`,
-	} {
-		if _, err := UnmarshalModel([]byte(blob)); err == nil {
-			t.Fatalf("%s: expected an error", name)
+	for _, c := range ensembleCorruptions() {
+		if _, err := UnmarshalModel(c.data); err == nil {
+			t.Fatalf("%s: expected an error", c.name)
 		}
 	}
 	// And the happy path stays a fixed point with real content.
@@ -132,12 +124,12 @@ func TestEnsembleSerializationGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"kind": "ensemble"`) {
-		t.Fatalf("artifact lacks the ensemble kind:\n%s", data)
-	}
 	m2, err := UnmarshalModel(data)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, ok := m2.Classifier.(*Ensemble); !ok || len(got.Members()) != len(e.Members()) {
+		t.Fatalf("artifact decoded to %T, want a %d-member ensemble", m2.Classifier, len(e.Members()))
 	}
 	again, err := MarshalModel(m2)
 	if err != nil {

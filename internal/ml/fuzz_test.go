@@ -2,11 +2,16 @@ package ml
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"testing"
 )
 
 // fuzzSeedModels marshals one fitted model of every serializable kind, for
-// the fuzz seed corpus and the lossless-round-trip check.
+// the fuzz seed corpus and the lossless-round-trip check. The last one
+// carries every section: meta, scaler, classifier and a distilled program
+// with its decision grid.
 func fuzzSeedModels(tb testing.TB) [][]byte {
 	tb.Helper()
 	ds := &Dataset{}
@@ -42,13 +47,11 @@ func fuzzSeedModels(tb testing.TB) [][]byte {
 		}
 		out = append(out, data)
 	}
-	// One model carrying a distilled compiled artifact (with decision grid),
-	// so the fuzzer exercises the compiled round-trip and validation paths.
 	svm := NewSVM(RBFKernel{Gamma: 0.5}, 4)
 	if err := svm.Fit(scaled); err != nil {
 		tb.Fatal(err)
 	}
-	withCompiled := &Model{Classifier: svm, Scaler: scaler}
+	withCompiled := &Model{Classifier: svm, Scaler: scaler, Meta: &ModelMeta{Version: 2, TrainedOn: 10}}
 	c, err := Distill(withCompiled, ds.X, DistillOptions{Grid: true, GridRes: 8})
 	if err != nil {
 		tb.Fatal(err)
@@ -61,6 +64,216 @@ func fuzzSeedModels(tb testing.TB) [][]byte {
 	return append(out, data)
 }
 
+// body returns one hand-built section body.
+func body(write func(e *encoder)) []byte {
+	e := &encoder{}
+	write(e)
+	return e.b
+}
+
+// rawArtifact frames hand-built meta, scaler, classifier and compiled
+// section bodies (nil = absent) into an artifact.
+func rawArtifact(meta, scaler, classifier, compiled []byte) []byte {
+	e := &encoder{b: []byte(artifactMagic)}
+	e.u32(artifactVersion)
+	for _, s := range [][]byte{meta, scaler, classifier, compiled} {
+		e.u32(uint32(len(s)))
+		e.b = append(e.b, s...)
+	}
+	return e.b
+}
+
+// knnBody is a valid two-point 1-NN classifier section.
+func knnBody() []byte {
+	return body(func(e *encoder) {
+		e.u8(kindKNN)
+		e.int(1)
+		e.ints([]int{0, 1})
+		e.rows([][]float64{{0}, {1}})
+		e.int(0)
+		e.int(1)
+	})
+}
+
+// ensembleBody is an ensemble classifier section over the given member
+// sections (each a kind byte plus body).
+func ensembleBody(weights []float64, members ...[]byte) []byte {
+	return body(func(e *encoder) {
+		e.u8(kindEnsemble)
+		e.int(2)
+		e.i64(1)
+		e.ints([]int{0, 1})
+		e.f64s(weights)
+		e.count(0)
+		e.count(len(members))
+		for _, m := range members {
+			e.u32(uint32(len(m)))
+			e.b = append(e.b, m...)
+		}
+	})
+}
+
+// treeBody is a tree classifier section whose nodes are given as
+// (left, right) child index pairs.
+func treeBody(children ...[2]int32) []byte {
+	return body(func(e *encoder) {
+		e.u8(kindTree)
+		e.int(4)
+		e.int(1)
+		e.ints([]int{0, 1})
+		e.count(len(children))
+		for _, c := range children {
+			e.int(0)
+			e.f64(0.5)
+			e.i32(c[0])
+			e.i32(c[1])
+			e.f64s([]float64{1, 0})
+		}
+	})
+}
+
+// compiledBody is a one-feature compiled program over classes {0, 1} with
+// the given nodes.
+func compiledBody(nodes ...CompiledNode) []byte {
+	return body(func(e *encoder) {
+		encodeCompiled(e, &Compiled{Nodes: nodes, Classes: []int{0, 1}, Dim: 1, Margin: 0.01, Agreement: 1, CorpusSize: 2})
+	})
+}
+
+// sectionSpans returns the [start, end) byte range of each section body of
+// a well-formed artifact.
+func sectionSpans(data []byte) [][2]int {
+	var spans [][2]int
+	for off := len(artifactMagic) + 4; off < len(data); {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		spans = append(spans, [2]int{off + 4, off + 4 + n})
+		off += 4 + n
+	}
+	return spans
+}
+
+type namedBlob struct {
+	name string
+	data []byte
+}
+
+// hostileArtifacts builds inputs the decoder must refuse: truncation inside
+// every section, length prefixes and element counts larger than the bytes
+// left, non-finite floats, out-of-range or shared child indices, ensemble
+// corruption, and framing errors.
+func hostileArtifacts(tb testing.TB) []namedBlob {
+	tb.Helper()
+	seeds := fuzzSeedModels(tb)
+	full := seeds[len(seeds)-1]
+	spans := sectionSpans(full)
+	if len(spans) != 4 {
+		tb.Fatalf("full seed has %d sections, want 4", len(spans))
+	}
+	patched := func(at int, v uint64, size int) []byte {
+		out := append([]byte(nil), full...)
+		if size == 4 {
+			binary.LittleEndian.PutUint32(out[at:], uint32(v))
+		} else {
+			binary.LittleEndian.PutUint64(out[at:], v)
+		}
+		return out
+	}
+	var out []namedBlob
+	for i, name := range []string{"meta", "scaler", "classifier", "compiled"} {
+		mid := (spans[i][0] + spans[i][1]) / 2
+		out = append(out, namedBlob{"truncated " + name, append([]byte(nil), full[:mid]...)})
+	}
+	scalerMin := spans[1][0] // u32 count, then the first f64
+	out = append(out,
+		namedBlob{"classifier length past end", patched(spans[2][0]-4, math.MaxUint32, 4)},
+		namedBlob{"scaler count past end", patched(scalerMin, 1<<30, 4)},
+		namedBlob{"NaN scaler", patched(scalerMin+4, math.Float64bits(math.NaN()), 8)},
+		namedBlob{"+Inf scaler", patched(scalerMin+4, math.Float64bits(math.Inf(1)), 8)},
+		namedBlob{"-Inf scaler", patched(scalerMin+4, math.Float64bits(math.Inf(-1)), 8)},
+		namedBlob{"trailing byte", append(append([]byte(nil), full...), 0)},
+		namedBlob{"bad version", patched(len(artifactMagic), 99, 4)},
+		namedBlob{"bad magic", append([]byte("NITROMDX"), full[len(artifactMagic):]...)},
+		namedBlob{"empty", nil},
+		namedBlob{"legacy JSON", []byte(`{"kind":"svm","svm":{"c":1}}`)},
+		namedBlob{"no classifier", rawArtifact(nil, nil, nil, nil)},
+		namedBlob{"unknown kind", rawArtifact(nil, nil, []byte{99}, nil)},
+		namedBlob{"svm missing body", rawArtifact(nil, nil, []byte{kindSVM}, nil)},
+		namedBlob{"svm support vector out of range", rawArtifact(nil, nil, body(func(e *encoder) {
+			e.u8(kindSVM)
+			e.f64(1)
+			e.u8(kernelLinear)
+			e.ints([]int{0, 1})
+			e.rows([][]float64{{0}})
+			e.count(1)
+			e.int(0)
+			e.int(1)
+			e.f64(0)
+			e.int(1)
+			e.count(1)
+			e.u32(1) // only row 0 exists
+			e.f64(1)
+		}), nil)},
+		namedBlob{"tree child out of range", rawArtifact(nil, nil, treeBody([2]int32{5, -1}), nil)},
+		namedBlob{"tree child loops", rawArtifact(nil, nil, treeBody([2]int32{0, -1}), nil)},
+		namedBlob{"tree child shared", rawArtifact(nil, nil, treeBody([2]int32{1, 1}, [2]int32{-1, -1}), nil)},
+		namedBlob{"tree node orphaned", rawArtifact(nil, nil, treeBody([2]int32{-1, -1}, [2]int32{-1, -1}), nil)},
+		namedBlob{"compiled node out of range", rawArtifact(nil, nil, knnBody(), compiledBody(
+			CompiledNode{Left: 9, Right: 1, Threshold: 0.5}, CompiledNode{Left: -1, Right: -1})),
+		},
+		namedBlob{"compiled node loops", rawArtifact(nil, nil, knnBody(), compiledBody(
+			CompiledNode{Left: 0, Right: 0, Threshold: 0.5})),
+		},
+		namedBlob{"compiled bad grid", rawArtifact(nil, nil, knnBody(), body(func(e *encoder) {
+			encodeCompiled(e, &Compiled{
+				Nodes: []CompiledNode{{Left: -1, Right: -1}}, Classes: []int{0}, Dim: 1,
+				Grid: &DecisionGrid{Res: 2, Lo: []float64{0}, Hi: []float64{1}, Cells: []int8{0, 0, 0}},
+			})
+		}))},
+	)
+	return append(out, ensembleCorruptions()...)
+}
+
+// ensembleCorruptions are the ensemble-kind failure edges: a missing body,
+// no members, a corrupt or unknown member, a nested ensemble, and a
+// member/weight arity mismatch.
+func ensembleCorruptions() []namedBlob {
+	return []namedBlob{
+		{"ensemble missing body", rawArtifact(nil, nil, []byte{kindEnsemble}, nil)},
+		{"ensemble no members", rawArtifact(nil, nil, ensembleBody(nil), nil)},
+		{"ensemble corrupt member", rawArtifact(nil, nil, ensembleBody(nil, []byte{kindSVM}), nil)},
+		{"ensemble unknown member", rawArtifact(nil, nil, ensembleBody(nil, []byte{99}), nil)},
+		{"ensemble empty member", rawArtifact(nil, nil, ensembleBody(nil, nil), nil)},
+		{"ensemble nested member", rawArtifact(nil, nil, ensembleBody(nil, ensembleBody(nil, knnBody())), nil)},
+		{"ensemble weight mismatch", rawArtifact(nil, nil, ensembleBody([]float64{0.5}, knnBody(), knnBody()), nil)},
+	}
+}
+
+// TestUnmarshalRejectsHostileArtifacts asserts every hostile input is
+// refused with an error, and that the errors callers branch on are the
+// named ones.
+func TestUnmarshalRejectsHostileArtifacts(t *testing.T) {
+	for _, h := range hostileArtifacts(t) {
+		m, err := UnmarshalModel(h.data)
+		if err == nil {
+			t.Errorf("%s: accepted (%T)", h.name, m.Classifier)
+		}
+	}
+	if _, err := UnmarshalModel([]byte("  {\"kind\": \"svm\"}")); !errors.Is(err, ErrLegacyJSONModel) {
+		t.Errorf("legacy JSON error = %v, want ErrLegacyJSONModel", err)
+	}
+	nested := rawArtifact(nil, nil, ensembleBody(nil, ensembleBody(nil, knnBody())), nil)
+	if _, err := UnmarshalModel(nested); !errors.Is(err, ErrNestedEnsemble) {
+		t.Errorf("nested ensemble error = %v, want ErrNestedEnsemble", err)
+	}
+	// The hand-built pieces are themselves well formed: a valid ensemble of
+	// two kNN members decodes.
+	valid := rawArtifact(nil, nil, ensembleBody([]float64{0.5, 0.5}, knnBody(), knnBody()), compiledBody(
+		CompiledNode{Left: 1, Right: 2, Threshold: 0.5}, CompiledNode{Left: -1, Right: -1}, CompiledNode{Left: -1, Right: -1, Class: 1}))
+	if _, err := UnmarshalModel(valid); err != nil {
+		t.Fatalf("valid hand-built ensemble refused: %v", err)
+	}
+}
+
 // FuzzUnmarshalModel asserts the model deserializer is total: arbitrary bytes
 // must produce either a model or an error — never a panic — and any blob that
 // deserializes must round-trip to a fixed point (marshal ∘ unmarshal is
@@ -69,27 +282,9 @@ func FuzzUnmarshalModel(f *testing.F) {
 	for _, seed := range fuzzSeedModels(f) {
 		f.Add(seed)
 	}
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"kind":"svm"}`))
-	f.Add([]byte(`{"kind":"knn","meta":{"version":2,"created_at":"2026-08-06T00:00:00Z","trained_on":7},"knn":{"k":1}}`))
-	f.Add([]byte(`{"kind":"knn","meta":{},"knn":{"k":1}}`))
-	f.Add([]byte(`{"kind":"knn","knn":{"k":-1}}`))
-	f.Add([]byte(`not json at all`))
-	f.Add([]byte(`{"kind":"tree","tree":{"root":{"leaf":true}}}`))
-	// Ensemble seeds: a missing body, corrupt and unknown members, a nested
-	// ensemble (rejected), and a member/weight arity mismatch — the total-
-	// deserializer contract must hold for member-model corruption too.
-	f.Add([]byte(`{"kind":"ensemble"}`))
-	f.Add([]byte(`{"kind":"ensemble","ensemble":{"classes":[0,1],"members":[{"kind":"svm"}]}}`))
-	f.Add([]byte(`{"kind":"ensemble","ensemble":{"classes":[0,1],"members":[{"kind":"wat"}]}}`))
-	f.Add([]byte(`{"kind":"ensemble","ensemble":{"classes":[0],"members":[{"kind":"ensemble","ensemble":{"members":[{"kind":"knn","knn":{"k":1}}]}}]}}`))
-	f.Add([]byte(`{"kind":"ensemble","ensemble":{"classes":[0,1],"weights":[1],"members":[{"kind":"knn","knn":{"k":1}},{"kind":"tree","tree":{"root":null}}]}}`))
-	f.Add([]byte(`{"kind":"ensemble","ensemble":{"classes":[0,1],"weights":[0.5,0.5],"calib":[{"lo":0,"hi":0.5,"n":3,"correct":1}],"members":[{"kind":"knn","knn":{"k":1,"x":[[0],[1]],"y":[0,1]}},{"kind":"logistic","logistic":{"lr":0.5,"l2":0.001,"iters":10,"w":[[0,0],[0,0]],"classes":[0,1]}}]}}`))
-	// Compiled-artifact seeds: a minimal valid program, a looping program
-	// (must be rejected), and a grid with a bad cell table.
-	f.Add([]byte(`{"kind":"knn","knn":{"k":1,"x":[[0],[1]],"y":[0,1]},"compiled":{"nodes":[{"f":0,"l":1,"r":2,"c":-1,"t":0.5},{"f":0,"l":-1,"r":-1,"c":0,"t":0},{"f":0,"l":-1,"r":-1,"c":1,"t":0}],"classes":[0,1],"dim":1,"margin":0.01,"agreement":1,"fallback_rate":0,"corpus_size":2}}`))
-	f.Add([]byte(`{"kind":"knn","knn":{"k":1,"x":[[0],[1]],"y":[0,1]},"compiled":{"nodes":[{"f":0,"l":0,"r":0,"c":-1,"t":0.5}],"classes":[0],"dim":1,"margin":0.01}}`))
-	f.Add([]byte(`{"kind":"knn","knn":{"k":1,"x":[[0],[1]],"y":[0,1]},"compiled":{"nodes":[{"f":0,"l":-1,"r":-1,"c":0,"t":0}],"classes":[0],"dim":1,"margin":0,"grid":{"res":2,"lo":[0],"hi":[1],"cells":[0,0,0]}}}`))
+	for _, h := range hostileArtifacts(f) {
+		f.Add(h.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := UnmarshalModel(data) // must never panic
 		if err != nil {
@@ -110,7 +305,7 @@ func FuzzUnmarshalModel(f *testing.F) {
 			t.Fatalf("second marshal failed: %v", err)
 		}
 		if !bytes.Equal(out1, out2) {
-			t.Fatalf("round trip is not a fixed point:\nfirst:  %s\nsecond: %s", out1, out2)
+			t.Fatalf("round trip is not a fixed point:\nfirst:  %x\nsecond: %x", out1, out2)
 		}
 	})
 }
@@ -129,7 +324,7 @@ func TestModelRoundTripLossless(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(data, again) {
-			t.Fatalf("round trip changed the artifact:\nbefore: %s\nafter:  %s", data, again)
+			t.Fatalf("round trip changed the artifact:\nbefore: %x\nafter:  %x", data, again)
 		}
 		for x := 0.0; x <= 9; x += 0.5 {
 			vec := []float64{x, 9 - x}

@@ -1,9 +1,6 @@
 package ml
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Kernel is a positive-semidefinite similarity function between feature
 // vectors, used by the SVM.
@@ -17,7 +14,7 @@ type Kernel interface {
 // RBFKernel is the radial-basis-function (Gaussian) kernel
 // K(a,b) = exp(-gamma * ||a-b||^2), the paper's default.
 type RBFKernel struct {
-	Gamma float64 `json:"gamma"`
+	Gamma float64
 }
 
 // Eval implements Kernel.
@@ -50,9 +47,9 @@ func (LinearKernel) Name() string { return "linear" }
 
 // PolyKernel is K(a,b) = (gamma * a.b + coef0)^degree.
 type PolyKernel struct {
-	Gamma  float64 `json:"gamma"`
-	Coef0  float64 `json:"coef0"`
-	Degree int     `json:"degree"`
+	Gamma  float64
+	Coef0  float64
+	Degree int
 }
 
 // Eval implements Kernel.
@@ -66,37 +63,3 @@ func (k PolyKernel) Eval(a, b []float64) float64 {
 
 // Name implements Kernel.
 func (k PolyKernel) Name() string { return "poly" }
-
-// kernelSpec is the serializable description of a kernel.
-type kernelSpec struct {
-	Kind   string  `json:"kind"`
-	Gamma  float64 `json:"gamma,omitempty"`
-	Coef0  float64 `json:"coef0,omitempty"`
-	Degree int     `json:"degree,omitempty"`
-}
-
-func specOf(k Kernel) kernelSpec {
-	switch kk := k.(type) {
-	case RBFKernel:
-		return kernelSpec{Kind: "rbf", Gamma: kk.Gamma}
-	case LinearKernel:
-		return kernelSpec{Kind: "linear"}
-	case PolyKernel:
-		return kernelSpec{Kind: "poly", Gamma: kk.Gamma, Coef0: kk.Coef0, Degree: kk.Degree}
-	default:
-		return kernelSpec{Kind: k.Name()}
-	}
-}
-
-func (s kernelSpec) kernel() (Kernel, error) {
-	switch s.Kind {
-	case "rbf":
-		return RBFKernel{Gamma: s.Gamma}, nil
-	case "linear":
-		return LinearKernel{}, nil
-	case "poly":
-		return PolyKernel{Gamma: s.Gamma, Coef0: s.Coef0, Degree: s.Degree}, nil
-	default:
-		return nil, fmt.Errorf("ml: unknown kernel %q", s.Kind)
-	}
-}

@@ -18,7 +18,7 @@ type Logistic struct {
 	// Iters is the gradient-step count (default 500).
 	Iters int
 
-	W       [][]float64 `json:"w"` // classes x (dim+1), bias last
+	W       [][]float64 // classes x (dim+1), bias last
 	classes []int
 }
 

@@ -2,8 +2,7 @@ package ml
 
 import (
 	"bytes"
-	"encoding/json"
-	"strings"
+	"encoding/binary"
 	"testing"
 	"time"
 )
@@ -45,8 +44,8 @@ func TestModelMetaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"meta"`) {
-		t.Fatalf("serialized model lacks a meta block:\n%s", data)
+	if n := metaSectionLen(data); n == 0 {
+		t.Fatal("serialized model lacks a meta section")
 	}
 	got, err := UnmarshalModel(data)
 	if err != nil {
@@ -70,46 +69,44 @@ func TestModelMetaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestModelMetaBackwardCompatible asserts pre-stamping artifacts — model
-// files with no meta block — still deserialize, predict, and re-serialize
-// without growing a spurious stamp.
+// TestModelMetaBackwardCompatible asserts unstamped models — artifacts
+// with an empty meta section, as written before stamping existed —
+// deserialize, predict, and re-serialize without growing a spurious stamp.
 func TestModelMetaBackwardCompatible(t *testing.T) {
 	svm, scaler := fitTinySVM(t)
-	legacy, err := MarshalModel(&Model{Classifier: svm, Scaler: scaler})
+	unstamped, err := MarshalModel(&Model{Classifier: svm, Scaler: scaler})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(legacy), `"meta"`) {
-		t.Fatalf("unstamped model should serialize without a meta key:\n%s", legacy)
+	if n := metaSectionLen(unstamped); n != 0 {
+		t.Fatalf("unstamped model should serialize an empty meta section, got %d bytes", n)
 	}
-	// Simulate an old on-disk artifact: generic JSON without the field.
-	var raw map[string]any
-	if err := json.Unmarshal(legacy, &raw); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := raw["meta"]; ok {
-		t.Fatal("legacy artifact unexpectedly carries meta")
-	}
-	m, err := UnmarshalModel(legacy)
+	m, err := UnmarshalModel(unstamped)
 	if err != nil {
-		t.Fatalf("legacy model failed to parse: %v", err)
+		t.Fatalf("unstamped model failed to parse: %v", err)
 	}
 	if m.Meta != nil {
-		t.Fatalf("legacy model grew a meta stamp: %+v", m.Meta)
+		t.Fatalf("unstamped model grew a meta stamp: %+v", m.Meta)
 	}
 	if m.Version() != 0 {
-		t.Fatalf("legacy Version() = %d, want 0", m.Version())
+		t.Fatalf("unstamped Version() = %d, want 0", m.Version())
 	}
 	if got := m.Predict([]float64{1, 8}); got != 0 {
-		t.Fatalf("legacy model predicts %d for a class-0 point", got)
+		t.Fatalf("unstamped model predicts %d for a class-0 point", got)
 	}
 	again, err := MarshalModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(legacy, again) {
-		t.Fatalf("legacy round trip changed the artifact:\n%s\nvs\n%s", legacy, again)
+	if !bytes.Equal(unstamped, again) {
+		t.Fatalf("unstamped round trip changed the artifact:\n%x\nvs\n%x", unstamped, again)
 	}
+}
+
+// metaSectionLen reads the meta section's length prefix, which follows the
+// magic and the format version.
+func metaSectionLen(data []byte) uint32 {
+	return binary.LittleEndian.Uint32(data[len(artifactMagic)+4:])
 }
 
 // TestNilModelVersion pins Version()'s nil-safety (hot-swap logs call it on

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -575,13 +576,16 @@ func TestModelSerializationRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalModelErrors(t *testing.T) {
-	if _, err := UnmarshalModel([]byte("not json")); err == nil {
+	if _, err := UnmarshalModel([]byte("not a model")); err == nil {
 		t.Error("garbage should error")
 	}
-	if _, err := UnmarshalModel([]byte(`{"kind":"nope"}`)); err == nil {
+	if _, err := UnmarshalModel([]byte(`{"kind":"svm"}`)); !errors.Is(err, ErrLegacyJSONModel) {
+		t.Errorf("legacy JSON artifact error = %v, want ErrLegacyJSONModel", err)
+	}
+	if _, err := UnmarshalModel(rawArtifact(nil, nil, []byte{99}, nil)); err == nil {
 		t.Error("unknown kind should error")
 	}
-	if _, err := UnmarshalModel([]byte(`{"kind":"svm"}`)); err == nil {
+	if _, err := UnmarshalModel(rawArtifact(nil, nil, []byte{kindSVM}, nil)); err == nil {
 		t.Error("missing body should error")
 	}
 	if _, err := MarshalModel(nil); err == nil {

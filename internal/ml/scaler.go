@@ -9,8 +9,8 @@ import (
 // statistics, exactly as the paper (and svm-scale) does before SVM training.
 // Constant features map to 0. The zero value is unfitted; call Fit first.
 type Scaler struct {
-	Min []float64 `json:"min"`
-	Max []float64 `json:"max"`
+	Min []float64
+	Max []float64
 }
 
 // Fit computes per-feature minima and maxima over the rows of x.

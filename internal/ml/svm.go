@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -46,7 +45,7 @@ type SVM struct {
 	// the kernel per pair.
 	//
 	// Concurrency audit (deployment runtime): svRows, classIdx, classes,
-	// pairs and kernel are all written only by Fit/fit/buildSVCache (i.e.
+	// pairs and kernel are all written only by Fit/fit or UnmarshalModel (i.e.
 	// training or deserialization) and read-only afterwards; Scores,
 	// Predict and DecisionValues allocate their scratch (kv, out) per call.
 	// A fitted *SVM is therefore safe for unlimited concurrent prediction —
@@ -269,34 +268,6 @@ func (m *SVM) buildClassIndex() {
 	m.classIdx = make(map[int]int, len(m.classes))
 	for i, c := range m.classes {
 		m.classIdx[c] = i
-	}
-}
-
-// buildSVCache rebuilds the shared support-vector table by vector content,
-// deduplicating identical vectors across pairs. fit builds the table from
-// dataset row identity; this variant serves deserialized models, where row
-// identity is lost but equal content still implies equal kernel values.
-func (m *SVM) buildSVCache() {
-	m.buildClassIndex()
-	m.svRows = nil
-	seen := make(map[string]int)
-	var key []byte
-	for i := range m.pairs {
-		p := &m.pairs[i]
-		p.svID = make([]int, len(p.sol.svX))
-		for s, sv := range p.sol.svX {
-			key = key[:0]
-			for _, v := range sv {
-				key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
-			}
-			id, ok := seen[string(key)]
-			if !ok {
-				id = len(m.svRows)
-				m.svRows = append(m.svRows, sv)
-				seen[string(key)] = id
-			}
-			p.svID[s] = id
-		}
 	}
 }
 

@@ -19,12 +19,12 @@ type DecisionTree struct {
 }
 
 type treeNode struct {
-	Feature   int       `json:"feature"`
-	Threshold float64   `json:"threshold"`
-	Left      *treeNode `json:"left,omitempty"`
-	Right     *treeNode `json:"right,omitempty"`
+	Feature   int
+	Threshold float64
+	Left      *treeNode
+	Right     *treeNode
 	// Counts holds per-class sample counts at leaves (aligned to classes).
-	Counts []float64 `json:"counts,omitempty"`
+	Counts []float64
 }
 
 // NewDecisionTree returns an untrained tree. Non-positive arguments select

@@ -165,20 +165,17 @@ func openJournal(path string) (*journal, []journalRecord, *CorruptTailError, err
 	return &journal{f: f, path: path, size: goodOff}, records, corrupt, nil
 }
 
-// scanJournal walks the frames from the start, returning every intact
+// scanJournal walks the frames from the start of r, returning every intact
 // record, the offset just past the last good frame, and a description of
-// the first bad frame (nil when the file is fully intact).
-func scanJournal(f *os.File) ([]journalRecord, int64, *CorruptTailError, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, nil, err
-	}
+// the first bad frame (nil when the log is fully intact).
+func scanJournal(r io.Reader) ([]journalRecord, int64, *CorruptTailError, error) {
 	var (
 		records []journalRecord
 		off     int64
 		header  [8]byte
 	)
 	for {
-		n, err := io.ReadFull(f, header[:])
+		n, err := io.ReadFull(r, header[:])
 		if err == io.EOF {
 			return records, off, nil, nil
 		}
@@ -195,13 +192,15 @@ func scanJournal(f *os.File) ([]journalRecord, int64, *CorruptTailError, error) 
 			return records, off, &CorruptTailError{Offset: off,
 				Reason: fmt.Sprintf("implausible frame length %d", length)}, nil
 		}
-		payload := make([]byte, length)
-		if n, err := io.ReadFull(f, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return records, off, &CorruptTailError{Offset: off,
-					Reason: fmt.Sprintf("truncated payload (%d of %d bytes)", n, length)}, nil
-			}
+		// Read through a limit rather than into a length-sized buffer, so a
+		// corrupt length over a short tail costs the tail, not the limit.
+		payload, err := io.ReadAll(io.LimitReader(r, int64(length)))
+		if err != nil {
 			return nil, 0, nil, fmt.Errorf("server: reading journal: %w", err)
+		}
+		if len(payload) < int(length) {
+			return records, off, &CorruptTailError{Offset: off,
+				Reason: fmt.Sprintf("truncated payload (%d of %d bytes)", len(payload), length)}, nil
 		}
 		if got := crc32.ChecksumIEEE(payload); got != sum {
 			return records, off, &CorruptTailError{Offset: off,
@@ -235,18 +234,27 @@ func quarantineTail(f *os.File, path string, off int64) string {
 	return qpath
 }
 
-// append frames, writes and fsyncs one record. The record is durable when
-// append returns.
-func (j *journal) append(rec journalRecord) error {
+// frameRecord encodes one record as a journal frame: payload length,
+// payload CRC32, JSON payload.
+func frameRecord(rec journalRecord) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	frame := make([]byte, 8+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 	copy(frame[8:], payload)
+	return frame, nil
+}
 
+// append frames, writes and fsyncs one record. The record is durable when
+// append returns.
+func (j *journal) append(rec journalRecord) error {
+	frame, err := frameRecord(rec)
+	if err != nil {
+		return err
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
@@ -286,16 +294,12 @@ func (j *journal) rewrite(recs []journalRecord) error {
 	}
 	var size int64
 	for _, rec := range recs {
-		payload, err := json.Marshal(rec)
+		frame, err := frameRecord(rec)
 		if err != nil {
 			nf.Close()
 			os.Remove(tmp)
 			return err
 		}
-		frame := make([]byte, 8+len(payload))
-		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-		copy(frame[8:], payload)
 		if _, err := nf.Write(frame); err != nil {
 			nf.Close()
 			os.Remove(tmp)
